@@ -1,8 +1,7 @@
 //! Minimal JSON for the perf harness — writer, parser and the `BENCH.json`
 //! schema checker. Dependency-free on purpose: the benchmark binary must
 //! not pull crates whose own cost or availability could perturb or block
-//! the measurement path (the workspace's vendored `serde` stub has no
-//! `serde_json` companion anyway).
+//! the measurement path.
 
 use std::fmt::Write as _;
 

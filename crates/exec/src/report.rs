@@ -7,10 +7,9 @@
 //! materialisation ("Store") is visible exactly as in the paper.
 
 use ghostdb_flash::{FlashStats, FlashTiming, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// The operators the executor attributes time to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Visible shipments (channel time lives in `comm`, flash time ~0).
     Vis,
@@ -52,11 +51,9 @@ impl OpKind {
         OpKind::BruteForce,
     ];
 
+    /// Position in [`OpKind::ALL`] (declaration order).
     pub(crate) fn idx(self) -> usize {
-        OpKind::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("known kind")
+        self as usize
     }
 
     /// Display name.
@@ -81,9 +78,9 @@ impl OpKind {
 /// bit-for-bit — the equivalence suites (`intra_equivalence`,
 /// `serve_equivalence`) rely on this to hold optimized schedules to the
 /// solo/serial observation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecReport {
-    op_ns: Vec<u128>,
+    op_ns: [u128; OpKind::ALL.len()],
     /// Wire time (bytes / throughput).
     pub comm: SimDuration,
     /// Bytes shipped PC → token for this query.
@@ -99,23 +96,17 @@ pub struct ExecReport {
 impl ExecReport {
     /// Empty report.
     pub fn new() -> Self {
-        ExecReport {
-            op_ns: vec![0; OpKind::ALL.len()],
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Attribute simulated time to an operator.
     pub fn add(&mut self, op: OpKind, d: SimDuration) {
-        if self.op_ns.is_empty() {
-            self.op_ns = vec![0; OpKind::ALL.len()];
-        }
         self.op_ns[op.idx()] += d.as_ns();
     }
 
     /// Time attributed to an operator.
     pub fn op(&self, op: OpKind) -> SimDuration {
-        SimDuration::from_ns(self.op_ns.get(op.idx()).copied().unwrap_or(0))
+        SimDuration::from_ns(self.op_ns[op.idx()])
     }
 
     /// Total flash time (all operators, communication excluded) — the
@@ -147,20 +138,6 @@ impl ExecReport {
             ("Store", self.op(OpKind::Store)),
             ("Project", project),
         ]
-    }
-
-    /// Fold another report into this one (used by sweeps).
-    pub fn merge_from(&mut self, other: &ExecReport) {
-        if self.op_ns.is_empty() {
-            self.op_ns = vec![0; OpKind::ALL.len()];
-        }
-        for (a, b) in self.op_ns.iter_mut().zip(&other.op_ns) {
-            *a += b;
-        }
-        self.comm += other.comm;
-        self.bytes_to_secure += other.bytes_to_secure;
-        self.result_rows += other.result_rows;
-        self.peak_ram_buffers = self.peak_ram_buffers.max(other.peak_ram_buffers);
     }
 }
 
@@ -227,15 +204,19 @@ mod tests {
         assert_eq!(r.as_ns(), 2 * 25_000 + 1000 * 50);
     }
 
+    /// `Default` and `new` build the same all-zero report, so
+    /// `PartialEq`-based equivalence checks cannot trip on how a report
+    /// was constructed.
     #[test]
-    fn merge_from_accumulates() {
-        let mut a = ExecReport::new();
-        a.add(OpKind::Ci, SimDuration::from_us(1));
-        let mut b = ExecReport::new();
-        b.add(OpKind::Ci, SimDuration::from_us(2));
-        b.result_rows = 7;
-        a.merge_from(&b);
-        assert_eq!(a.op(OpKind::Ci), SimDuration::from_us(3));
-        assert_eq!(a.result_rows, 7);
+    fn default_equals_new() {
+        assert_eq!(ExecReport::default(), ExecReport::new());
+    }
+
+    /// `idx` reads the discriminant, so it must stay tied to `ALL`'s order.
+    #[test]
+    fn idx_matches_all_order() {
+        for (i, k) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(k.idx(), i, "{}", k.name());
+        }
     }
 }

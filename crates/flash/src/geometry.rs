@@ -1,14 +1,12 @@
 //! Physical layout of the simulated NAND module.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of the NAND flash module.
 ///
 /// The GhostDB experimental platform (§6.1) uses 2 KB pages — the I/O unit
 /// between Flash and RAM — grouped into erase blocks. The paper does not fix
 /// the block size; 64 pages per block (128 KB blocks) matches the large-block
 /// NAND parts contemporary with the paper and is the default here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashGeometry {
     /// Bytes per page (the Flash↔RAM I/O unit). Paper value: 2048.
     pub page_size: usize,

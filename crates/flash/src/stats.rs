@@ -7,12 +7,11 @@
 //! derived, so they are first-class here.
 
 use crate::timing::FlashTiming;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Sub;
 
 /// A simulated duration, stored in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct SimDuration {
     ns: u128,
 }
@@ -93,7 +92,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// Cumulative I/O counters of a flash device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlashStats {
     /// Pages loaded from the array into the data register (user traffic).
     pub pages_read: u64,

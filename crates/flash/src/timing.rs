@@ -1,7 +1,5 @@
 //! The Table 1 cost model of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing parameters of the flash module (paper Table 1).
 ///
 /// Reading `k` bytes of a page costs `read_page_us + k × transfer_ns_per_byte`
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// §2.3/§6.1. Block erase happens only inside FTL garbage collection; the
 /// paper does not list an erase time, so we use 1.5 ms, typical of the NAND
 /// parts of that generation (documented substitution).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashTiming {
     /// Time to load a page from the NAND array into the data register (µs).
     pub read_page_us: u64,

@@ -16,11 +16,10 @@
 use crate::error::StorageError;
 use crate::value::ColumnType;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Whether a column lives on the Untrusted PC or the Secure token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Visibility {
     /// Public data, stored on the Untrusted PC.
     Visible,
@@ -30,7 +29,7 @@ pub enum Visibility {
 
 /// A column declaration. The surrogate `id` is implicit in every table and
 /// replicated on both sides (§2.1), so it never appears here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     /// Column name, unique within its table.
     pub name: String,
@@ -64,7 +63,7 @@ impl Column {
 /// The design guideline of §2.1 hides all foreign keys; we allow visible
 /// ones too (footnote 5 discusses that relaxation) but the paper's
 /// experiments keep them hidden.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForeignKey {
     /// Name of the referencing column (must be an Int{4} column).
     pub column: String,
@@ -73,7 +72,7 @@ pub struct ForeignKey {
 }
 
 /// A table definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
     /// Table name.
     pub name: String,

@@ -8,11 +8,10 @@
 
 use crate::error::StorageError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declared type of a column, with its on-flash width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// Signed integer stored in `width` bytes (1..=8), little-endian,
     /// two's-complement truncated.
@@ -72,7 +71,7 @@ impl ColumnType {
 }
 
 /// A runtime value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer.
     Int(i64),

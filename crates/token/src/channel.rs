@@ -11,10 +11,9 @@
 //! speed (12 Mb/s ≈ 1.5 MB/s) and Figure 14 sweeps 0.3–10 MB/s.
 
 use ghostdb_flash::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Direction of a transfer on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// PC → token (queries, visible ID lists, visible attribute values).
     ToSecure,
@@ -26,7 +25,7 @@ pub enum Direction {
 /// One observed transfer. `PartialEq` compares the full observation
 /// (direction, tag, size, captured payload) so equivalence suites can hold
 /// two execution schedules to the same wire transcript bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranscriptEntry {
     /// Direction on the wire.
     pub direction: Direction,

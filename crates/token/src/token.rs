@@ -3,10 +3,9 @@
 use crate::channel::Channel;
 use crate::ram::RamArena;
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a simulated smart USB key.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TokenConfig {
     /// Secure RAM in bytes (paper default 65 536).
     pub ram_bytes: usize,
