@@ -1284,38 +1284,38 @@ fn micro_ci_multi(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     }
 }
 
-/// SJoin stream throughput over the synthetic SKT.
+/// SJoin over the synthetic SKT: every owner id (`stream`) and every 37th
+/// (`sparse`, where byte-exact reads skip most of each page). Records the
+/// operator's simulated read time and flash bytes as well as wall time.
 fn micro_sjoin(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let (_, mut db) = build_synthetic(scale);
     let root = db.schema.root();
     let t1 = db.schema.table_id("T1").unwrap();
     let t12 = db.schema.table_id("T12").unwrap();
-    let rows = db.rows[root].min(20_000);
-    out.push(measure("micro/sjoin/stream", warmup, iters, || {
-        let mut ctx = ExecCtx::new(&mut db);
-        let skt = ctx.skt(root).unwrap();
-        let mut next = 0 as Id;
-        let emitted = sjoin_stream(
-            &mut ctx,
-            skt,
-            &[t1, t12],
-            |_ctx| {
-                if (next as u64) < rows {
-                    let v = next;
-                    next += 1;
-                    Ok(Some(v))
-                } else {
-                    Ok(None)
-                }
-            },
-            |_ctx, _id, _targets| Ok(()),
-        )
-        .unwrap();
-        RunStats {
-            ops: emitted,
-            ..Default::default()
-        }
-    }));
+    let rows = db.rows[root].min(20_000) as Id;
+    for (name, step) in [("micro/sjoin/stream", 1), ("micro/sjoin/sparse", 37)] {
+        out.push(measure(name, warmup, iters, || {
+            let mut ctx = ExecCtx::new(&mut db);
+            let skt = ctx.skt(root).unwrap();
+            let mut ids = (0..rows).step_by(step);
+            let before = ctx.lane.io();
+            let emitted = sjoin_stream(
+                &mut ctx,
+                skt,
+                &[t1, t12],
+                |_ctx| Ok(ids.next()),
+                |_ctx, _id, _targets| Ok(()),
+            )
+            .unwrap();
+            let io = ctx.lane.io() - before;
+            RunStats {
+                simulated_s: ctx.lane.elapsed_of(&io).as_secs(),
+                ops: emitted,
+                bytes_io: io.bytes_to_ram + io.bytes_from_ram,
+                ..Default::default()
+            }
+        }));
+    }
 }
 
 /// Disjoint-chip channel scaling on the sharded flash device — the

@@ -405,16 +405,11 @@ fn mjoin(
     let page_size = ctx.page_size();
     let mut hid_scans: Vec<ColumnScan> = hid
         .iter()
-        .map(|(name, _)| Ok(image.column(name)?.selective_scan(&ram, page_size)?))
+        .map(|(name, _)| Ok(image.column(name)?.scan(&ram, page_size)?))
         .collect::<Result<_>>()?;
     let mut recheck_scans: Vec<(ColumnScan, &Predicate)> = rechecks
         .iter()
-        .map(|p| {
-            Ok((
-                image.column(&p.column)?.selective_scan(&ram, page_size)?,
-                *p,
-            ))
-        })
+        .map(|p| Ok((image.column(&p.column)?.scan(&ram, page_size)?, *p)))
         .collect::<Result<_>>()?;
 
     // Dict capacity: RAM minus two buffers (§4) and the open scans.
@@ -643,13 +638,13 @@ fn final_join(
     let mut root_hid_scans: Vec<(String, ColumnScan)> = root_proj
         .hid
         .iter()
-        .map(|c| Ok((c.clone(), image.column(c)?.selective_scan(&ram, page_size)?)))
+        .map(|c| Ok((c.clone(), image.column(c)?.scan(&ram, page_size)?)))
         .collect::<Result<_>>()?;
     let mut root_recheck: Vec<(ColumnScan, &Predicate)> = sj
         .recheck
         .iter()
         .filter(|(t, _)| *t == root)
-        .map(|(_, p)| Ok((image.column(&p.column)?.selective_scan(&ram, page_size)?, p)))
+        .map(|(_, p)| Ok((image.column(&p.column)?.scan(&ram, page_size)?, p)))
         .collect::<Result<_>>()?;
 
     let mut root_reader = root_col.reader(&ram, page_size)?;

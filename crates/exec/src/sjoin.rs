@@ -1,11 +1,14 @@
 //! The `SJoin` operator: key semi-join against a Subtree Key Table (§3.3).
 //!
 //! `SJoin({idT}, SKT_T, π)` scans an ascending stream of `T` ids, reads the
-//! SKT row of each (ascending access: every touched page is loaded exactly
-//! once), and emits `<idT, idTi, idTj …>` projected on π. It needs two
-//! buffers to scan its operands and one to write the result (§3.4).
+//! SKT row of each (ascending access: every touched page is visited once
+//! and only the bytes of the rows asked for are read, see
+//! [`FlashTableReader::load_rows`]), and emits `<idT, idTi, idTj …>`
+//! projected on π. It needs two buffers to scan its operands and one to
+//! write the result (§3.4).
 
 use crate::ctx::ExecCtx;
+use crate::error::ExecError;
 use crate::report::OpKind;
 use crate::Result;
 use ghostdb_index::SubtreeKeyTable;
@@ -33,6 +36,12 @@ impl SJoinTable {
 /// Streaming SJoin driver. The caller feeds ascending owner ids via
 /// `next_id` and receives projected rows via `sink` (id + projected target
 /// ids, in `targets` order). SKT read time is attributed to `SJoin`.
+///
+/// The driver looks one SKT page ahead: it pulls ids until one falls on a
+/// later page (or does not ascend), holding that id back, so the reader can
+/// cover the page's requested rows with byte-exact reads. The ids of one
+/// page fit a bitmap of rows-per-page bits, not a RAM buffer. An id equal
+/// to the one just emitted is emitted again without a read.
 pub fn sjoin_stream(
     ctx: &mut ExecCtx<'_>,
     skt: &SubtreeKeyTable,
@@ -44,34 +53,57 @@ pub fn sjoin_stream(
         .iter()
         .map(|t| {
             if *t == skt.table {
-                None // the owner id itself
+                Ok(None) // the owner id itself
             } else {
-                Some(
-                    skt.column_of(*t)
-                        .expect("planner only projects SKT descendants"),
-                )
+                skt.column_of(*t).map(Some).ok_or_else(|| {
+                    ExecError::Query(format!(
+                        "SJoin target {} is not a descendant of SKT table {}",
+                        ctx.cat.schema.def(*t).name,
+                        ctx.cat.schema.def(skt.table).name
+                    ))
+                })
             }
         })
-        .collect();
+        .collect::<Result<_>>()?;
     let ram = ctx.ram();
     let page_size = ctx.page_size();
     let mut reader: FlashTableReader = skt.flash.reader(&ram, page_size)?;
     let layout = skt.flash.layout.clone();
+    let mut page_ids = reader.page_rows();
     let mut out_ids = vec![0 as Id; targets.len()];
     let mut emitted = 0u64;
-    while let Some(id) = next_id(ctx)? {
-        ctx.tracked(OpKind::SJoin, |dev| -> Result<()> {
-            let row = reader.row_at(dev, id as u64)?;
+    let mut last: Option<Id> = None;
+    let mut held = next_id(ctx)?;
+    while let Some(first) = held.take() {
+        if last == Some(first) {
+            // A repeated id: its projection is still in `out_ids`.
+            sink(ctx, first, &out_ids)?;
+            emitted += 1;
+            held = next_id(ctx)?;
+            continue;
+        }
+        page_ids.clear();
+        page_ids.push(first as u64);
+        while let Some(id) = next_id(ctx)? {
+            if !page_ids.push(id as u64) {
+                held = Some(id);
+                break;
+            }
+        }
+        ctx.tracked(OpKind::SJoin, |dev| reader.load_rows(dev, &page_ids))?;
+        for id in page_ids.rows() {
+            let row = reader.loaded_row(id)?;
+            let id = id as Id;
             for (slot, col) in out_ids.iter_mut().zip(&col_idx) {
                 *slot = match col {
                     None => id,
                     Some(c) => layout.get_id(row, *c),
                 };
             }
-            Ok(())
-        })?;
-        sink(ctx, id, &out_ids)?;
-        emitted += 1;
+            sink(ctx, id, &out_ids)?;
+            emitted += 1;
+            last = Some(id);
+        }
     }
     Ok(emitted)
 }
@@ -184,6 +216,69 @@ mod tests {
         .unwrap();
         let d = ctx.lane.io() - before;
         assert_eq!(d.pages_read, 5);
+    }
+
+    #[test]
+    fn sjoin_rejects_a_target_outside_the_skt() {
+        let mut db = testkit::tiny_db();
+        let t1 = db.schema.table_id("T1").unwrap();
+        let t2 = db.schema.table_id("T2").unwrap();
+        let mut ctx = ExecCtx::new(&mut db);
+        // T2 is T0's child, not T1's descendant.
+        let skt = ctx.skt(t1).unwrap();
+        let mut pulled = 0;
+        let res = sjoin_stream(
+            &mut ctx,
+            skt,
+            &[t2],
+            |_ctx| {
+                pulled += 1;
+                Ok(Some(0))
+            },
+            |_ctx, _id, _t| Ok(()),
+        );
+        assert!(matches!(res, Err(ExecError::Query(_))), "{res:?}");
+        assert_eq!(pulled, 0, "rejected before reading any id");
+    }
+
+    #[test]
+    fn sjoin_repeated_and_sparse_ids_match_row_reads() {
+        let mut db = testkit::tiny_db();
+        let t0 = db.schema.root();
+        let t1 = db.schema.table_id("T1").unwrap();
+        let mut ctx = ExecCtx::new(&mut db);
+        let skt = ctx.skt(t0).unwrap();
+        // Repeats are emitted once per occurrence; ids span pages 0, 2, 4.
+        let ids: Vec<Id> = vec![3, 3, 9, 260, 261, 261, 599];
+        let mut feed = ids.clone().into_iter();
+        let mut got: Vec<(Id, Vec<Id>)> = Vec::new();
+        let before = ctx.lane.io();
+        sjoin_stream(
+            &mut ctx,
+            skt,
+            &[t0, t1],
+            |_ctx| Ok(feed.next()),
+            |_ctx, id, targets| {
+                got.push((id, targets.to_vec()));
+                Ok(())
+            },
+        )
+        .unwrap();
+        let want: Vec<(Id, Vec<Id>)> = ids.iter().map(|id| (*id, vec![*id, id % 120])).collect();
+        assert_eq!(got, want);
+        // Reads {3}, {9}, {260, 261}, {599}: a repeat ends its page's
+        // look-ahead set and is emitted again without a read.
+        assert_eq!((ctx.lane.io() - before).pages_read, 4);
+        // A descending id is still rejected.
+        let mut feed = vec![10, 5].into_iter();
+        let res = sjoin_stream(
+            &mut ctx,
+            skt,
+            &[t1],
+            |_ctx| Ok(feed.next()),
+            |_ctx, _, _| Ok(()),
+        );
+        assert!(res.is_err());
     }
 
     #[test]

@@ -322,19 +322,19 @@ mod tests {
     #[test]
     fn skt_rows_follow_fk_composition() {
         let schema = paper_synthetic_schema(1, 1);
-        let (mut dev, mut alloc, ram) = setup();
+        let (mut dev, mut alloc, _ram) = setup();
         let b = builder(&schema);
         let t0 = schema.table_id("T0").unwrap();
         let skt = b.build_skt(&mut dev, &mut alloc, t0).unwrap();
         assert_eq!(skt.rows(), 100);
         assert_eq!(skt.descendants.len(), 4); // T1, T11, T12, T2
-        let mut reader = skt.flash.reader(&ram, dev.page_size()).unwrap();
-        let row = reader.row_at(&mut dev, 77).unwrap();
         let l = &skt.flash.layout;
-        assert_eq!(l.get_id(row, 0), 27); // T1 = 77 % 50
-        assert_eq!(l.get_id(row, 1), 7); // T11 = 27 % 10
-        assert_eq!(l.get_id(row, 2), 3); // T12 = 27 % 8
-        assert_eq!(l.get_id(row, 3), 17); // T2 = 77 % 20
+        let mut row = vec![0u8; l.size()];
+        skt.flash.read_row(&mut dev, 77, &mut row).unwrap();
+        assert_eq!(l.get_id(&row, 0), 27); // T1 = 77 % 50
+        assert_eq!(l.get_id(&row, 1), 7); // T11 = 27 % 10
+        assert_eq!(l.get_id(&row, 2), 3); // T12 = 27 % 8
+        assert_eq!(l.get_id(&row, 3), 17); // T2 = 77 % 20
     }
 
     #[test]

@@ -91,12 +91,6 @@ impl HiddenColumn {
         self.rows * self.ty.width() as u64
     }
 
-    fn locate(&self, row: u64, page_size: usize) -> (u64, usize) {
-        let width = self.ty.width();
-        let vpp = (page_size / width) as u64;
-        (row / vpp, (row % vpp) as usize * width)
-    }
-
     /// Random access to one value (charges a page load + `width` bytes).
     pub fn get(&self, dev: &mut FlashDevice, row: Id) -> Result<Value> {
         if row as u64 >= self.rows {
@@ -105,77 +99,57 @@ impl HiddenColumn {
                 rows: self.rows,
             });
         }
-        let (page, off) = self.locate(row as u64, dev.page_size());
-        let mut buf = vec![0u8; self.ty.width()];
+        let width = self.ty.width();
+        let vpp = (dev.page_size() / width) as u64;
+        let (page, off) = (row as u64 / vpp, (row as u64 % vpp) as usize * width);
+        let mut buf = vec![0u8; width];
         dev.read(self.segment.lpn(page)?, off, &mut buf)?;
         Ok(Value::decode(&self.ty, &buf))
     }
 
-    /// Open a sequential scan (one RAM buffer).
+    /// Open a scan (one RAM buffer) delivering values for an ascending
+    /// sequence of rows: a full scan, or merge-style skips where each
+    /// touched page is loaded once, from the first requested value to the
+    /// end of the page's used bytes.
     pub fn scan(&self, ram: &RamArena, page_size: usize) -> Result<ColumnScan> {
         Ok(ColumnScan {
-            column: self.clone(),
-            buf: ram.alloc()?,
-            buffered_page: None,
-            pos: 0,
-            page_size,
+            ty: self.ty,
+            pager: RecordPager::new(
+                self.segment,
+                self.rows,
+                self.ty.width(),
+                page_size,
+                ram.alloc()?,
+            ),
         })
-    }
-
-    /// Scan positioned to deliver values for an *ascending* sequence of row
-    /// ids (merge-style access: each page read at most once).
-    pub fn selective_scan(&self, ram: &RamArena, page_size: usize) -> Result<ColumnScan> {
-        self.scan(ram, page_size)
     }
 }
 
 /// Sequential (or ascending-skip) scan over a hidden column.
 #[derive(Debug)]
 pub struct ColumnScan {
-    column: HiddenColumn,
-    buf: RamBuffer,
-    buffered_page: Option<u64>,
-    pos: u64,
-    page_size: usize,
+    ty: ColumnType,
+    pager: RecordPager,
 }
 
 impl ColumnScan {
     /// Value at row `row`, which must be ≥ any previously requested row.
-    /// Pages are loaded at most once each (sorted merge access pattern).
+    /// Its callers interleave several columns per id, so a scan cannot
+    /// group requests by page: a page miss loads the rest of the page's
+    /// used bytes from `row` on (one page load per touched page).
     pub fn value_at(&mut self, dev: &mut FlashDevice, row: Id) -> Result<Value> {
-        if (row as u64) < self.pos {
-            return Err(StorageError::Corrupt(format!(
-                "ColumnScan going backwards: {row} after {}",
-                self.pos
-            )));
-        }
-        self.pos = row as u64;
-        if row as u64 >= self.column.rows {
-            return Err(StorageError::RowOutOfRange {
-                row: row as u64,
-                rows: self.column.rows,
-            });
-        }
-        let (page, off) = self.column.locate(row as u64, self.page_size);
-        if self.buffered_page != Some(page) {
-            let width = self.column.ty.width();
-            let vpp = self.page_size / width;
-            let rows_on_page = ((self.column.rows - page * vpp as u64) as usize).min(vpp);
-            let used = rows_on_page * width;
-            dev.read(self.column.segment.lpn(page)?, 0, &mut self.buf[..used])?;
-            self.buffered_page = Some(page);
-        }
-        let width = self.column.ty.width();
-        Ok(Value::decode(&self.column.ty, &self.buf[off..off + width]))
+        let slot = self.pager.fetch(dev, row as u64)?;
+        Ok(Value::decode(&self.ty, self.pager.record(slot)))
     }
 
     /// Next value in sequence (plain full scan).
     pub fn next_value(&mut self, dev: &mut FlashDevice) -> Result<Option<Value>> {
-        if self.pos >= self.column.rows {
+        let row = self.pager.pos;
+        if row >= self.pager.rows {
             return Ok(None);
         }
-        let v = self.value_at(dev, self.pos as Id)?;
-        self.pos += 1;
+        let v = self.value_at(dev, row as Id)?;
+        self.pager.pos = row + 1;
         Ok(Some(v))
     }
 }
@@ -289,11 +263,13 @@ impl FlashTable {
     /// Open a streaming reader (one RAM buffer).
     pub fn reader(&self, ram: &RamArena, page_size: usize) -> Result<FlashTableReader> {
         Ok(FlashTableReader {
-            table: self.clone(),
-            buf: ram.alloc()?,
-            buffered_page: None,
-            pos: 0,
-            page_size,
+            pager: RecordPager::new(
+                self.segment,
+                self.rows,
+                self.layout.size(),
+                page_size,
+                ram.alloc()?,
+            ),
         })
     }
 
@@ -456,67 +432,258 @@ impl FlashTableWriter {
 }
 
 /// Streaming reader over a row table, with ascending random skip support
-/// (key semi-join access pattern: each needed page loaded once).
+/// (key semi-join access pattern: each needed page visited once).
 #[derive(Debug)]
 pub struct FlashTableReader {
-    table: FlashTable,
-    buf: RamBuffer,
-    buffered_page: Option<u64>,
-    pos: u64,
-    page_size: usize,
+    pager: RecordPager,
 }
 
 impl FlashTableReader {
     /// Total rows.
     pub fn rows(&self) -> u64 {
-        self.table.rows
+        self.pager.rows
     }
 
-    /// Read row `row` (must be ≥ previously requested rows) and return a
-    /// view of it. Pages are each loaded at most once thanks to ascending
-    /// access.
-    pub fn row_at(&mut self, dev: &mut FlashDevice, row: u64) -> Result<&[u8]> {
-        if row >= self.table.rows {
-            return Err(StorageError::RowOutOfRange {
-                row,
-                rows: self.table.rows,
-            });
-        }
-        if row < self.pos {
+    /// Row `row` of the set the last [`FlashTableReader::load_rows`] was
+    /// given (rows requested in ascending order). Never touches the device;
+    /// fails if `row` goes backwards, is past the table or is not on the
+    /// loaded page. Other rows of that page are not loaded: which rows to
+    /// ask for is the caller's set.
+    pub fn loaded_row(&mut self, row: u64) -> Result<&[u8]> {
+        let slot = self.pager.request(row)?;
+        if slot >= self.pager.per_page {
             return Err(StorageError::Corrupt(format!(
-                "FlashTableReader going backwards: {row} after {}",
-                self.pos
+                "row {row} is not on the loaded page"
             )));
         }
-        self.pos = row;
-        let (page, off) = self.table.layout.locate(row, self.page_size);
-        if self.buffered_page != Some(page) {
-            let rpp = self.table.layout.rows_per_page(self.page_size) as u64;
-            let rows_on_page = ((self.table.rows - page * rpp) as usize).min(rpp as usize);
-            let used = rows_on_page * self.table.layout.size();
-            dev.read(self.table.segment.lpn(page)?, 0, &mut self.buf[..used])?;
-            self.buffered_page = Some(page);
-        }
-        Ok(&self.buf[off..off + self.table.layout.size()])
+        Ok(self.pager.record(slot))
     }
 
     /// Next row in sequence, or `None` at the end.
     pub fn next_row(&mut self, dev: &mut FlashDevice) -> Result<Option<&[u8]>> {
-        if self.pos >= self.table.rows {
+        let row = self.pager.pos;
+        if row >= self.pager.rows {
             return Ok(None);
         }
-        let row = self.pos;
-        self.pos += 1;
-        // Re-borrow via row_at's logic without the monotonicity bump.
-        let (page, off) = self.table.layout.locate(row, self.page_size);
-        if self.buffered_page != Some(page) {
-            let rpp = self.table.layout.rows_per_page(self.page_size) as u64;
-            let rows_on_page = ((self.table.rows - page * rpp) as usize).min(rpp as usize);
-            let used = rows_on_page * self.table.layout.size();
-            dev.read(self.table.segment.lpn(page)?, 0, &mut self.buf[..used])?;
-            self.buffered_page = Some(page);
+        let slot = self.pager.fetch(dev, row)?;
+        self.pager.pos = row + 1;
+        Ok(Some(self.pager.record(slot)))
+    }
+
+    /// An empty look-ahead set for this reader's pages.
+    pub fn page_rows(&self) -> PageRows {
+        PageRows::new(self.pager.per_page)
+    }
+
+    /// Load the rows of `rows` (all on one page) with byte-exact reads, so
+    /// that [`FlashTableReader::loaded_row`] serves each of them without
+    /// I/O. Rows before the last request or past the table are left for it
+    /// to reject.
+    pub fn load_rows(&mut self, dev: &mut FlashDevice, rows: &PageRows) -> Result<()> {
+        debug_assert_eq!(rows.per_page, self.pager.per_page);
+        let (pos, end) = (self.pager.pos, self.pager.rows);
+        self.pager.load(
+            dev,
+            rows.first,
+            rows.rows()
+                .filter(|r| (pos..end).contains(r))
+                .map(|r| r - rows.first),
+        )
+    }
+}
+
+/// The rows of one page an ascending reader is asked for at once, as a
+/// bitmap of rows-per-page bits: a look-ahead of one page costs no RAM
+/// buffer. Rows are pushed in strictly ascending order.
+#[derive(Debug, Clone)]
+pub struct PageRows {
+    per_page: u64,
+    /// First row of the page the set lies on.
+    first: u64,
+    last: Option<u64>,
+    bits: Vec<u64>,
+}
+
+impl PageRows {
+    fn new(per_page: u64) -> Self {
+        PageRows {
+            per_page,
+            first: 0,
+            last: None,
+            bits: vec![0; per_page.div_ceil(64) as usize],
         }
-        Ok(Some(&self.buf[off..off + self.table.layout.size()]))
+    }
+
+    /// Add `row`. Returns `false` and adds nothing when the set already
+    /// holds rows and `row` lies on another page or does not follow the
+    /// last row pushed.
+    pub fn push(&mut self, row: u64) -> bool {
+        match self.last {
+            Some(last) if row <= last || row - self.first >= self.per_page => return false,
+            Some(_) => {}
+            None => self.first = row - row % self.per_page,
+        }
+        let slot = row - self.first;
+        self.bits[(slot / 64) as usize] |= 1 << (slot % 64);
+        self.last = Some(row);
+        true
+    }
+
+    /// Empty the set.
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
+        self.last = None;
+    }
+
+    /// The rows, ascending.
+    pub fn rows(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut words = self.bits.iter();
+        let (mut word, mut base) = (0u64, self.first);
+        let end = self.last.map_or(0, |last| last + 1);
+        std::iter::from_fn(move || loop {
+            if word != 0 {
+                let bit = word.trailing_zeros() as u64;
+                word &= word - 1;
+                return Some(base - 64 + bit);
+            }
+            if base >= end {
+                return None;
+            }
+            word = *words.next()?;
+            base += 64;
+        })
+    }
+}
+
+/// The page-load core of the ascending readers of fixed-width records
+/// ([`FlashTableReader`] and [`ColumnScan`]). One RAM buffer holds loaded
+/// records of one page, each at its own page offset.
+///
+/// Reads are priced by the Table 1 model: one `dev.read` costs a page
+/// load plus the bytes it moves. A miss on a single record reads the rest
+/// of its page in one range (`fetch`), so what a miss loads is always a
+/// suffix of the page, kept as a watermark. A look-ahead set reads only
+/// its records (`load`), which its caller then reads back: two neighbours
+/// share a range exactly when the bytes between them cost no more to
+/// transfer than the page load a second read would pay
+/// (`gap × transfer_ns_per_byte ≤ read_page_us × 1000`, 500 B at Table 1
+/// timing). The cost is additive over ranges, so this greedy cover is the
+/// cheapest one.
+#[derive(Debug)]
+struct RecordPager {
+    segment: Segment,
+    rows: u64,
+    width: usize,
+    per_page: u64,
+    buf: RamBuffer,
+    /// First row of the page in `buf`.
+    first: u64,
+    /// Lowest slot of that page from which on `fetch` loaded every used
+    /// record; `per_page` when it loaded none.
+    lo: u64,
+    /// Lowest row the next request may name (ascending access).
+    pos: u64,
+}
+
+impl RecordPager {
+    fn new(segment: Segment, rows: u64, width: usize, page_size: usize, buf: RamBuffer) -> Self {
+        let per_page = (page_size / width) as u64;
+        assert!(per_page > 0, "record wider than a page");
+        RecordPager {
+            segment,
+            rows,
+            width,
+            per_page,
+            buf,
+            first: 0,
+            lo: per_page,
+            pos: 0,
+        }
+    }
+
+    /// Make record `row` available (it must not precede the previous
+    /// request) and return its slot. On a miss the rest of its page's used
+    /// records is loaded from `row` on.
+    fn fetch(&mut self, dev: &mut FlashDevice, row: u64) -> Result<u64> {
+        let slot = self.request(row)?;
+        if (self.lo..self.per_page).contains(&slot) {
+            return Ok(slot);
+        }
+        self.first = row - row % self.per_page;
+        self.lo = row - self.first;
+        let used = (self.rows - self.first).min(self.per_page);
+        self.read_range(dev, (self.lo, used - 1))?;
+        Ok(self.lo)
+    }
+
+    /// Accept request `row` (ascending, within the store) and return its
+    /// slot on the page in the buffer: `per_page` or more when `row` lies
+    /// on another page (rows below `first` wrap).
+    fn request(&mut self, row: u64) -> Result<u64> {
+        if row < self.pos {
+            return Err(StorageError::Corrupt(format!(
+                "ascending reader going backwards: {row} after {}",
+                self.pos
+            )));
+        }
+        if row >= self.rows {
+            return Err(StorageError::RowOutOfRange {
+                row,
+                rows: self.rows,
+            });
+        }
+        self.pos = row;
+        Ok(row.wrapping_sub(self.first))
+    }
+
+    /// The record in slot `slot` of the buffer.
+    fn record(&self, slot: u64) -> &[u8] {
+        let off = slot as usize * self.width;
+        &self.buf[off..off + self.width]
+    }
+
+    /// Load the records `slots` (ascending in-page indices) of the page
+    /// starting at row `first`, covering them with the cheapest ranges.
+    fn load(
+        &mut self,
+        dev: &mut FlashDevice,
+        first: u64,
+        slots: impl Iterator<Item = u64>,
+    ) -> Result<()> {
+        self.first = first;
+        self.lo = self.per_page;
+        let timing = *dev.timing();
+        let page_load_ns = timing.read_page_us as u128 * 1_000;
+        let mut range: Option<(u64, u64)> = None;
+        for slot in slots {
+            range = match range {
+                Some((lo, hi))
+                    if ((slot - hi - 1) as usize * self.width) as u128
+                        * timing.transfer_ns_per_byte as u128
+                        <= page_load_ns =>
+                {
+                    Some((lo, slot))
+                }
+                Some(done) => {
+                    self.read_range(dev, done)?;
+                    Some((slot, slot))
+                }
+                None => Some((slot, slot)),
+            };
+        }
+        if let Some(done) = range {
+            self.read_range(dev, done)?;
+        }
+        Ok(())
+    }
+
+    /// One `dev.read` of records `lo..=hi` of the page in the buffer, into
+    /// their own offsets.
+    fn read_range(&mut self, dev: &mut FlashDevice, (lo, hi): (u64, u64)) -> Result<()> {
+        let (from, to) = (lo as usize * self.width, (hi + 1) as usize * self.width);
+        let lpn = self.segment.lpn(self.first / self.per_page)?;
+        dev.read(lpn, from, &mut self.buf[from..to])?;
+        Ok(())
     }
 }
 
@@ -563,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn selective_scan_loads_each_page_once() {
+    fn scan_skips_load_each_page_once() {
         let (mut dev, mut alloc, ram) = setup();
         let values: Vec<Value> = (0..2048).map(Value::Int).collect();
         let col = HiddenColumn::bulk_load(
@@ -575,7 +742,7 @@ mod tests {
         )
         .unwrap();
         let snap = dev.snapshot();
-        let mut scan = col.selective_scan(&ram, dev.page_size()).unwrap();
+        let mut scan = col.scan(&ram, dev.page_size()).unwrap();
         // 8-byte vals, 256 per page; probe two rows per page.
         for row in (0..2048u32).step_by(128) {
             let v = scan.value_at(&mut dev, row).unwrap();
@@ -583,6 +750,19 @@ mod tests {
         }
         let d = dev.stats_since(&snap);
         assert_eq!(d.pages_read, 8, "each of the 8 pages loaded exactly once");
+        assert_eq!(d.bytes_to_ram, 8 * 2048, "each from its first probe on");
+        // Probing from mid-page on loads only the rest of the page.
+        let snap = dev.snapshot();
+        let mut scan = col.scan(&ram, dev.page_size()).unwrap();
+        for row in [200u32, 255, 300] {
+            assert_eq!(
+                scan.value_at(&mut dev, row).unwrap(),
+                Value::Int(row as i64)
+            );
+        }
+        let d = dev.stats_since(&snap);
+        assert_eq!(d.pages_read, 2);
+        assert_eq!(d.bytes_to_ram, (56 + 212) * 8);
         // Backwards access is rejected.
         assert!(scan.value_at(&mut dev, 0).is_err());
     }
@@ -631,13 +811,118 @@ mod tests {
             rows.iter().map(|r| r.as_slice()),
         )
         .unwrap();
+        // 8-byte rows, 256 per page: one look-ahead set per touched page.
         let mut r = table.reader(&ram, dev.page_size()).unwrap();
-        for probe in [3u64, 100, 101, 499] {
-            let row = r.row_at(&mut dev, probe).unwrap();
-            assert_eq!(layout.get_id(row, 1) as u64, 1000 + probe);
+        let mut set = r.page_rows();
+        for probes in [&[3u64, 100, 101][..], &[499]] {
+            set.clear();
+            assert!(probes.iter().all(|p| set.push(*p)));
+            r.load_rows(&mut dev, &set).unwrap();
+            for probe in set.rows() {
+                let row = r.loaded_row(probe).unwrap();
+                assert_eq!(layout.get_id(row, 1) as u64, 1000 + probe);
+            }
         }
-        assert!(r.row_at(&mut dev, 2).is_err(), "backwards rejected");
-        assert!(r.row_at(&mut dev, 500).is_err(), "out of range rejected");
+        // A backwards or out-of-range row is not loaded, and is rejected.
+        let snap = dev.snapshot();
+        for bad in [2u64, 500] {
+            set.clear();
+            assert!(set.push(bad));
+            r.load_rows(&mut dev, &set).unwrap();
+            match r.loaded_row(bad) {
+                Err(StorageError::Corrupt(_)) => assert_eq!(bad, 2, "backwards rejected"),
+                Err(StorageError::RowOutOfRange { .. }) => {
+                    assert_eq!(bad, 500, "out of range rejected")
+                }
+                other => panic!("row {bad}: {other:?}"),
+            }
+        }
+        assert_eq!(dev.stats_since(&snap).pages_read, 0);
+        // So is a row off the loaded page.
+        let mut r = table.reader(&ram, dev.page_size()).unwrap();
+        set.clear();
+        assert!(set.push(3));
+        r.load_rows(&mut dev, &set).unwrap();
+        assert!(matches!(r.loaded_row(300), Err(StorageError::Corrupt(_))));
+    }
+
+    /// 600 SKT-shaped rows of 16 bytes: 128 rows per page, 5 pages, the
+    /// last holding 88 rows.
+    fn skt_shaped(dev: &mut FlashDevice, alloc: &mut SegmentAllocator) -> FlashTable {
+        let layout = RowLayout::ids(4);
+        FlashTable::bulk_load_with(dev, alloc, layout.clone(), 600, |r, row| {
+            layout.put_id(row, 0, r as u32)
+        })
+        .unwrap()
+    }
+
+    /// Load `rows` through one-page look-ahead sets, as `SJoin` does, and
+    /// return the simulated nanoseconds it took.
+    fn look_ahead_cost(dev: &mut FlashDevice, r: &mut FlashTableReader, rows: &[u64]) -> u128 {
+        let snap = dev.snapshot();
+        let mut set = r.page_rows();
+        for chunk in rows.chunk_by(|a, b| a / 128 == b / 128) {
+            set.clear();
+            assert!(chunk.iter().all(|row| set.push(*row)));
+            r.load_rows(dev, &set).unwrap();
+            for row in set.rows() {
+                assert_eq!(
+                    RowLayout::ids(4).get_id(r.loaded_row(row).unwrap(), 0) as u64,
+                    row
+                );
+            }
+        }
+        dev.elapsed_since(&snap).as_ns()
+    }
+
+    #[test]
+    fn one_row_per_page_costs_one_record_read_per_page() {
+        let (mut dev, mut alloc, ram) = setup();
+        let table = skt_shaped(&mut dev, &mut alloc);
+        let mut r = table.reader(&ram, dev.page_size()).unwrap();
+        let rows: Vec<u64> = (0..5).map(|p| p * 128 + 5).collect();
+        let t = *dev.timing();
+        assert_eq!(
+            look_ahead_cost(&mut dev, &mut r, &rows),
+            5 * t.read_cost_ns(16)
+        );
+    }
+
+    #[test]
+    fn every_row_of_a_page_costs_one_used_prefix_read() {
+        let (mut dev, mut alloc, ram) = setup();
+        let table = skt_shaped(&mut dev, &mut alloc);
+        let t = *dev.timing();
+        let mut r = table.reader(&ram, dev.page_size()).unwrap();
+        let full: Vec<u64> = (0..128).collect();
+        assert_eq!(
+            look_ahead_cost(&mut dev, &mut r, &full),
+            t.read_cost_ns(2048)
+        );
+        let last: Vec<u64> = (512..600).collect();
+        assert_eq!(
+            look_ahead_cost(&mut dev, &mut r, &last),
+            t.read_cost_ns(88 * 16)
+        );
+    }
+
+    #[test]
+    fn look_ahead_ranges_split_only_past_a_page_load_of_gap() {
+        let (mut dev, mut alloc, ram) = setup();
+        let table = skt_shaped(&mut dev, &mut alloc);
+        let t = *dev.timing();
+        // Table 1 merges gaps of up to 500 B: 31 skipped rows (496 B)
+        // share one read, 32 (512 B) do not.
+        let mut r = table.reader(&ram, dev.page_size()).unwrap();
+        assert_eq!(
+            look_ahead_cost(&mut dev, &mut r, &[0, 32]),
+            t.read_cost_ns(33 * 16)
+        );
+        let mut r = table.reader(&ram, dev.page_size()).unwrap();
+        assert_eq!(
+            look_ahead_cost(&mut dev, &mut r, &[0, 33]),
+            2 * t.read_cost_ns(16)
+        );
     }
 
     #[test]
